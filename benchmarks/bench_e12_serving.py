@@ -18,6 +18,15 @@ from the stdlib client:
 * ``recovery_seconds`` (degraded mode) — time from the SIGKILL until
   ``/readyz`` reports the pool healthy again.
 
+The daemon evaluates a batch inline when its total subject size is
+below ``FANOUT_MIN_SIZE`` and fans it out to the shard pool otherwise,
+so every row records its ``batch_size``.  The healthy row's 8 FRONTs of
+3-element queues (size 64) evaluate inline; the degraded row lengthens
+the queues to reach the threshold, so the SIGKILL lands on workers that
+are serving; the ``large`` rows run batches well above it on a pool
+daemon and on a serial one, and ``fanout_gain`` is their rps ratio —
+the evidence that fan-out still pays where the daemon chooses it.
+
 Writes ``BENCH_E12.json`` next to this file::
 
     PYTHONPATH=src python benchmarks/bench_e12_serving.py [--quick]
@@ -41,18 +50,36 @@ from pathlib import Path
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_E12.json"
 
+#: Queue length of the large-batch rows: 8 FRONTs over 96-element
+#: queues total 1552, six times the fan-out threshold.  At 48 elements
+#: (784) the pool's gain over inline was within run-to-run noise
+#: (1.03-1.14x on a 2-vCPU host), at 96 it is 1.2-1.3x.
+LARGE_QUEUE = 96
 
-def _subjects(batch: int, tag: str) -> list:
+
+def _subjects(batch: int, tag: str, queue: int = 3) -> list:
+    """``batch`` FRONT observations over ``queue``-element queues; each
+    term has size ``2 * queue + 2``."""
     from repro.adt.queue import FRONT, queue_term
     from repro.algebra.terms import App
 
     return [
-        App(FRONT, (queue_term([f"{tag}{i}a", f"{tag}{i}b", f"{tag}{i}c"]),))
+        App(FRONT, (queue_term([f"{tag}{i}e{m}" for m in range(queue)]),))
         for i in range(batch)
     ]
 
 
-def _drive(host, port, requests, batch, tag, latencies, failures, keepalive):
+def _fanout_queue(batch: int) -> int:
+    """The shortest queue that puts ``batch`` observations at the
+    daemon's fan-out threshold."""
+    from repro.serve import FANOUT_MIN_SIZE
+
+    return -(-FANOUT_MIN_SIZE // (2 * batch)) - 1
+
+
+def _drive(
+    host, port, requests, batch, queue, tag, latencies, failures, keepalive
+):
     from repro.serve import ServeClient, ServeUnavailable
 
     client = ServeClient(
@@ -65,7 +92,7 @@ def _drive(host, port, requests, batch, tag, latencies, failures, keepalive):
         keepalive=keepalive,
     )
     for i in range(requests):
-        subjects = _subjects(batch, f"{tag}r{i}")
+        subjects = _subjects(batch, f"{tag}r{i}", queue)
         started = time.perf_counter()
         try:
             outcomes = client.normalize(subjects, spec="Queue")
@@ -88,11 +115,15 @@ def measure_serving(
     trace_sample: float | None = None,
     otlp_path: str | None = None,
     keepalive: bool = True,
+    queue: int | None = None,
 ) -> dict:
     """Boot a daemon, drive concurrent load, return one sample dict.
 
-    ``mode="degraded"`` SIGKILLs one shard worker right after the load
-    starts and additionally reports the ``/readyz`` recovery time.
+    ``queue`` is the length of each observed queue; by default 3 (the
+    8-item batch evaluates inline), except in ``mode="degraded"``,
+    which SIGKILLs one shard worker right after the load starts, sizes
+    its batches to fan out, and additionally reports the ``/readyz``
+    recovery time.
     ``trace_sample``/``otlp_path`` turn request tracing on server-side
     (the tracing-overhead rows); ``keepalive=False`` makes every client
     open a fresh connection per request (the connection-reuse rows).
@@ -101,6 +132,8 @@ def measure_serving(
     from repro.obs import metrics as _metrics
     from repro.serve import ReproServer, ServeClient, ServeLimits
 
+    if queue is None:
+        queue = _fanout_queue(batch) if mode == "degraded" else 3
     registry = _metrics.MetricsRegistry(f"bench-e12-{mode}")
     with ReproServer(
         [QUEUE_SPEC],
@@ -122,6 +155,7 @@ def measure_serving(
                     port,
                     requests,
                     batch,
+                    queue,
                     f"t{n}",
                     latencies,
                     failures,
@@ -165,6 +199,8 @@ def measure_serving(
             "threads": threads,
             "requests_per_thread": requests,
             "batch": batch,
+            "queue": queue,
+            "batch_size": batch * (2 * queue + 2),
             "workers": workers,
             "completed": len(latencies),
             "shed": failures.count("shed"),
@@ -337,13 +373,19 @@ def main(argv=None) -> int:
         ),
         "modes": {},
     }
-    for mode in ("healthy", "degraded"):
-        sample = measure_serving(
-            mode=mode, threads=threads, requests=requests
-        )
+    rows = {
+        "healthy": dict(mode="healthy"),
+        "degraded": dict(mode="degraded"),
+        "large": dict(mode="healthy", queue=LARGE_QUEUE),
+        "large_serial": dict(mode="healthy", queue=LARGE_QUEUE, workers=0),
+    }
+    for mode, options in rows.items():
+        sample = measure_serving(threads=threads, requests=requests, **options)
         payload["modes"][mode] = sample
         print(
-            f"{mode}: {sample['rps']} req/s, p50 {sample['p50_ms']}ms, "
+            f"{mode}: {sample['rps']} req/s (batch size "
+            f"{sample['batch_size']}, workers {sample['workers']}), "
+            f"p50 {sample['p50_ms']}ms, "
             f"p99 {sample['p99_ms']}ms, completed {sample['completed']}, "
             f"shed {sample['shed']}, dropped {sample['dropped']}"
             + (
@@ -356,6 +398,15 @@ def main(argv=None) -> int:
         if sample["dropped"]:
             print(f"{mode}: DROPPED BATCHES — robustness invariant broken")
             return 1
+    pooled, serial = payload["modes"]["large"], payload["modes"]["large_serial"]
+    payload["fanout_gain"] = (
+        round(pooled["rps"] / serial["rps"], 2) if serial["rps"] else None
+    )
+    print(
+        f"fan-out gain at batch size {pooled['batch_size']}: "
+        f"{payload['fanout_gain']}x",
+        flush=True,
+    )
 
     tracing = measure_tracing_overhead(
         requests=60 if args.quick else 150, reps=2 if args.quick else 5

@@ -302,6 +302,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     import threading
 
     from repro.obs import Tracer
@@ -338,6 +339,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     where = host if args.unix_socket else f"http://{host}:{port}"
     names = ", ".join(sorted(server.sessions))
     print(f"serving {names} on {where}", flush=True)
+    # SIGTERM (service managers, ``kill``) takes the Ctrl-C path: close
+    # the sessions and join the shard workers instead of orphaning them.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         threading.Event().wait()
     except KeyboardInterrupt:

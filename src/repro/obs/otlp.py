@@ -47,7 +47,7 @@ __all__ = [
 
 _SPAN_KIND_INTERNAL = 1
 
-#: span_start keys that are structural, not user attributes.
+#: span_start / span_end keys that are structural, not user attributes.
 _RESERVED = {"ev", "span", "name", "ts", "parent", "remote_parent", "dur_us"}
 
 
@@ -113,7 +113,9 @@ def to_otlp(
             elif event.get("remote_parent"):
                 record["parentSpanId"] = str(event["remote_parent"])
                 attrs["repro.parent.remote"] = True
-            record["attributes"] = _attrs(attrs)
+            # A plain dict until every event is in: attributes set after
+            # the span started (Tracer.annotate) arrive on its span_end.
+            record["attributes"] = attrs
             record["events"] = []
             spans[sid] = record
             order.append(sid)
@@ -121,6 +123,11 @@ def to_otlp(
             record = spans.get(sid)
             if record is not None:
                 record["endTimeUnixNano"] = _nanos(event.get("ts", 0.0))
+                record["attributes"].update(
+                    (key, value)
+                    for key, value in event.items()
+                    if key not in _RESERVED
+                )
         elif kind is not None and sid in spans:
             fields = {
                 key: value
@@ -140,6 +147,8 @@ def to_otlp(
                     "attributes": _attrs(fields),
                 }
             )
+    for record in spans.values():
+        record["attributes"] = _attrs(record["attributes"])
     resource_attrs = {"service.name": "repro"}
     if resource:
         resource_attrs.update(resource)

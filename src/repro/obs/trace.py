@@ -12,7 +12,8 @@ Event schema (one JSON object per line when written to a sink)::
 
     {"ev": "span_start", "span": 3, "parent": 1, "name": "engine.normalize",
      "ts": 12.345678, ...attrs}
-    {"ev": "span_end",   "span": 3, "name": "...", "ts": ..., "dur_us": ...}
+    {"ev": "span_end",   "span": 3, "name": "...", "ts": ..., "dur_us": ...,
+     ...late attrs}
     {"ev": "step",       "span": 3, "rule": "[4] FRONT(ADD(q, i)) -> ...",
      "subject": "FRONT(ADD(NEW, 'a'))", "ts": ...}
     {"ev": "firings",    "span": 3, "counts": {"[4] ...": 17, ...}, "ts": ...}
@@ -141,12 +142,14 @@ class TraceContext:
 
 class _Scope(threading.local):
     """Per-thread span scope: the open-span stack, the mute depth for
-    unsampled subtrees, and the deterministic sampling credit."""
+    unsampled subtrees, the deterministic sampling credit, and the
+    late attributes :meth:`Tracer.annotate` parks on open spans."""
 
     def __init__(self) -> None:
         self.stack: list[int] = []
         self.mute = 0
         self.credit = 0.0
+        self.notes: dict[int, dict] = {}
 
 
 class Tracer:
@@ -285,20 +288,35 @@ class Tracer:
         finally:
             scope.stack.pop()
             end = monotonic()
-            self._emit(
-                {
-                    "ev": "span_end",
-                    "span": span_id,
-                    "name": name,
-                    "ts": round(time(), 6),
-                    "dur_us": round((end - start) * 1e6, 1),
-                }
-            )
+            end_event = {
+                "ev": "span_end",
+                "span": span_id,
+                "name": name,
+                "ts": round(time(), 6),
+                "dur_us": round((end - start) * 1e6, 1),
+            }
+            if scope.notes:
+                end_event.update(scope.notes.pop(span_id, ()))
+            self._emit(end_event)
             if forced_on_never:
                 with self._emit_lock:
                     self._forced_open -= 1
                     if self._forced_open == 0:
                         self.never = True
+
+    def annotate(self, **attrs) -> None:
+        """Attach attributes to the calling thread's innermost open
+        span, for facts learnt only after it started (the serve daemon's
+        inline-or-pool dispatch choice).  They ride on the span's
+        ``span_end`` event, so a streaming sink never has to rewrite a
+        line it already wrote; the OTLP export folds them into the
+        span's attributes."""
+        if self.never:
+            return
+        scope = self._scope
+        if scope.mute or not scope.stack:
+            return
+        scope.notes.setdefault(scope.stack[-1], {}).update(attrs)
 
     # -- point events --------------------------------------------------
     def step(self, rule: object, subject=None) -> None:

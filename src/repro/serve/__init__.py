@@ -39,12 +39,13 @@ from repro.serve.admission import (
     clamp_budget,
 )
 from repro.serve.client import ServeClient, ServeError, ServeUnavailable
-from repro.serve.server import ReproServer
+from repro.serve.server import FANOUT_MIN_SIZE, ReproServer
 from repro.serve.supervisor import PoolSupervisor
 
 __all__ = [
     "AdmissionController",
     "AdmissionDenied",
+    "FANOUT_MIN_SIZE",
     "PoolSupervisor",
     "ReproServer",
     "ServeClient",

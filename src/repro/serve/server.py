@@ -31,9 +31,12 @@ Surface:
     format (admission, shedding, crashes, respawns, engine counters).
 
 Threading: ``ThreadingHTTPServer`` gives each connection a thread;
-engines are *not* thread-safe, so serial evaluation and proving hold a
+engines are *not* thread-safe, so inline evaluation and proving hold a
 per-session lock, while supervised pools take batches concurrently
-(worker processes do the evaluating).  Admission
+(worker processes do the evaluating).  A session with a pool still
+evaluates a batch inline when its total subject size is below
+:data:`FANOUT_MIN_SIZE` — shipping a few small terms to a worker costs
+more than rewriting them.  Admission
 (:mod:`repro.serve.admission`) bounds how many requests evaluate at
 once and sheds the rest with structured 429/503 — the daemon's answer
 to overload is a fast "not now", never an unbounded queue.
@@ -76,7 +79,31 @@ from repro.spec.specification import Specification
 from repro.verify.prover import EquationalProver
 from repro.verify.skolem import skolemize_pair
 
-__all__ = ["ReproServer", "ServeRequestError", "SpecSession"]
+__all__ = [
+    "FANOUT_MIN_SIZE",
+    "ReproServer",
+    "ServeRequestError",
+    "SpecSession",
+]
+
+#: Total subject size (``sum(t.size() for t in terms)``) at which a
+#: batch fans out to the session's shard pool; smaller batches evaluate
+#: inline on the warm engine.  Size is what the daemon can see before
+#: evaluating, and it is O(1) per term (cached on hash-consed nodes).
+#: Sized on a 2-vCPU host with the codegen backend: 8-item
+#: ``FRONT(REMOVE^k(q))`` batches of fresh payloads from 2 threads,
+#: inline engine (under one lock) vs a warm 2-worker ShardPool, in
+#: batches/s —
+#:
+#:     total size    92   172   248   328   404   484   640   952
+#:     inline       501   208   118    69    58    39    24    11
+#:     pool         159   109    78    69    51    42    32    18
+#:
+#: Inline wins 3x on small batches, the two meet between 328 and 484,
+#: and the pool pulls ahead above that; 256 keeps every batch that
+#: clearly loses on the pool inline and leaves the break-even band to
+#: the pool.
+FANOUT_MIN_SIZE = 256
 
 
 class ServeRequestError(Exception):
@@ -93,11 +120,11 @@ class ServeRequestError(Exception):
 class SpecSession:
     """One loaded specification: warm engine, lock, optional pool.
 
-    The engine answers serial requests under ``lock`` (engines are not
+    The engine answers inline requests under ``lock`` (engines are not
     thread-safe); when the server runs with workers, a
-    :class:`PoolSupervisor` owns a shard pool for batch evaluation and
-    the lock is not needed on that path — worker processes are the
-    isolation.
+    :class:`PoolSupervisor` owns a shard pool for batches of at least
+    :data:`FANOUT_MIN_SIZE` and the lock is not needed on that path —
+    worker processes are the isolation.
     """
 
     def __init__(
@@ -115,6 +142,15 @@ class SpecSession:
         self.key = self.engine.rules.fingerprint()
         self.lock = threading.Lock()
         self.classification = classify(spec)
+        registry = registry if registry is not None else _metrics.GLOBAL
+        self.c_dispatched = registry.family(
+            "serve.dispatched_items",
+            "normalize items by evaluation path (inline or pool)",
+        )
+        # Request threads count concurrently; a family increment is a
+        # read-modify-write.  Not ``lock``: a pool batch must not wait
+        # for an inline one just to be counted.
+        self._count_lock = threading.Lock()
         self.supervisor: Optional[PoolSupervisor] = None
         if workers is not None and workers > 1:
             rules, engine = self.engine.rules, self.engine
@@ -133,10 +169,27 @@ class SpecSession:
             )
 
     def normalize_outcomes(self, terms: list, budget) -> list:
-        if self.supervisor is not None:
-            return self.supervisor.normalize_many_outcomes(terms, budget)
-        with self.lock:
-            return self.engine.normalize_many_outcomes(terms, budget)
+        """Evaluate a batch inline or on the pool (see
+        :data:`FANOUT_MIN_SIZE`).  The choice is counted under
+        ``serve.dispatched_items`` and recorded as the ``path``
+        attribute of the caller's open span (``serve.dispatch``)."""
+        pooled = (
+            self.supervisor is not None
+            and sum(term.size() for term in terms) >= FANOUT_MIN_SIZE
+        )
+        path = "pool" if pooled else "inline"
+        with self._count_lock:
+            self.c_dispatched.inc(path, len(terms))
+        tracer = _trace.ACTIVE
+        if tracer is not None:
+            tracer.annotate(path=path)
+        with _trace.maybe_span(
+            "serve.evaluate", spec=self.name, items=len(terms)
+        ):
+            if pooled:
+                return self.supervisor.normalize_many_outcomes(terms, budget)
+            with self.lock:
+                return self.engine.normalize_many_outcomes(terms, budget)
 
     def prover(self, fuel: int) -> EquationalProver:
         cls = self.classification
@@ -396,10 +449,7 @@ class ReproServer:
         session = self._session(request)
         terms = self._terms(request, session)
         budget = self._budget(request)
-        with _trace.maybe_span(
-            "serve.evaluate", spec=session.name, items=len(terms)
-        ):
-            outcomes = session.normalize_outcomes(terms, budget)
+        outcomes = session.normalize_outcomes(terms, budget)
         self.c_items.inc(len(terms))
         return {
             "spec": session.name,

@@ -5,7 +5,9 @@ The CI ``serve`` job's script, kept in-tree so it can be run anywhere:
 1. boot a daemon (Queue spec + a deliberately cycling spec, two shard
    workers per session);
 2. drive a mixed healthy / diverging / fault-injected request load
-   through the stdlib client;
+   through the stdlib client — the Queue batches are sized at
+   :data:`~repro.serve.server.FANOUT_MIN_SIZE` so they fan out to the
+   shard workers rather than evaluating inline;
 3. SIGKILL a shard worker mid-batch;
 4. assert ``/readyz`` reports recovery within the respawn backoff
    window;
@@ -31,7 +33,13 @@ import time
 
 from repro.adt.queue import FRONT, QUEUE_SPEC, queue_term
 from repro.algebra.terms import App
-from repro.serve import ReproServer, ServeClient, ServeLimits, ServeUnavailable
+from repro.serve import (
+    FANOUT_MIN_SIZE,
+    ReproServer,
+    ServeClient,
+    ServeLimits,
+    ServeUnavailable,
+)
 from repro.spec.parser import parse_specification
 from repro.testing.faults import FaultSpec, inject_faults
 
@@ -52,11 +60,19 @@ axioms
 """
 
 
-def _queue_subjects(n: int, tag: str) -> list:
+def _queue_subjects(n: int, tag: str, length: int = 2) -> list:
     return [
-        App(FRONT, (queue_term([f"{tag}{i}a", f"{tag}{i}b"]),))
+        App(FRONT, (queue_term([f"{tag}{i}e{m}" for m in range(length)]),))
         for i in range(n)
     ]
+
+
+def _pool_subjects(n: int, tag: str) -> list:
+    """``n`` FRONT observations whose total size reaches the fan-out
+    threshold (FRONT over a k-item queue has size 2k + 2), so the
+    daemon ships the batch to its shard workers."""
+    length = -(-FANOUT_MIN_SIZE // (2 * n)) - 1
+    return _queue_subjects(n, tag, length)
 
 
 def _drive_load(host, port, cycle_spec, requests, results):
@@ -74,7 +90,7 @@ def _drive_load(host, port, cycle_spec, requests, results):
                 )
             else:
                 outcomes = client.normalize(
-                    _queue_subjects(3, f"r{i}"), spec="Queue"
+                    _pool_subjects(3, f"r{i}"), spec="Queue"
                 )
                 assert len(outcomes) == 3 and all(o.ok for o in outcomes)
             results.append("completed")  # list.append: thread-safe
@@ -94,7 +110,7 @@ def _traced_exercise(host: str, port: int) -> None:
     client = ServeClient(
         host, port, timeout=20.0, retries=2, tracer=tracer, trace_return=True
     )
-    outcomes = client.normalize(_queue_subjects(6, "traced"), spec="Queue")
+    outcomes = client.normalize(_pool_subjects(6, "traced"), spec="Queue")
     assert all(outcome.ok for outcome in outcomes)
     names = {
         event["name"]

@@ -128,6 +128,18 @@ class TestToOtlp:
         assert event_attrs["firings"] == {"intValue": "7"}
         assert event_attrs["rules"] == {"intValue": "2"}
 
+    def test_late_attributes_from_span_end(self):
+        tracer = Tracer()
+        with tracer.span("serve.dispatch", endpoint="/v1/normalize"):
+            tracer.annotate(path="pool")
+        doc = to_otlp(tracer.events, tracer.trace_id, tracer.span_hex)
+        (span,) = read_otlp_spans(doc)
+        attrs = {a["key"]: a["value"] for a in span["attributes"]}
+        assert attrs == {
+            "endpoint": {"stringValue": "/v1/normalize"},
+            "path": {"stringValue": "pool"},
+        }
+
     def test_remote_parent_marks_cross_process_link(self):
         tracer = Tracer()
         remote = TraceContext.generate()

@@ -49,6 +49,24 @@ class TestSpans:
         assert inner_start["parent"] == outer_id
         assert inner_start["span"] == inner_id != outer_id
 
+    def test_annotate_lands_on_innermost_open_span_end(self):
+        tracer = Tracer()
+        tracer.annotate(path="nowhere")  # no open span: dropped
+        with tracer.span("outer") as outer_id:
+            tracer.annotate(path="inline")
+            with tracer.span("inner"):
+                pass
+        inner_start, inner_end, outer_end = tracer.events[1:]
+        assert "path" not in inner_start and "path" not in inner_end
+        assert outer_end["span"] == outer_id
+        assert outer_end["path"] == "inline"
+
+    def test_annotate_is_noop_in_unsampled_subtree(self):
+        tracer = Tracer(sample=0.0)
+        with tracer.span("muted"):
+            tracer.annotate(path="pool")
+        assert tracer.events == []
+
     def test_point_events_attach_to_the_open_span(self):
         tracer = Tracer()
         tracer.event("orphan")

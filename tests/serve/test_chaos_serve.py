@@ -31,6 +31,7 @@ from repro.serve import (
 )
 from repro.testing.faults import FaultSpec, inject_faults
 from tests.runtime.test_outcomes import CYCLE_SPEC, _cycling_term
+from tests.serve.batches import fanout_batch
 
 
 def _queue_subjects(n: int, tag: str) -> list:
@@ -130,7 +131,11 @@ class TestRequestLevelFaultSites:
 
 
 class TestChaosAcceptance:
-    """Concurrent load + injected faults + a SIGKILLed worker."""
+    """Concurrent load + injected faults + a SIGKILLed worker.
+
+    The Queue batches are sized at the fan-out threshold, so they reach
+    the shard workers the SIGKILL targets instead of evaluating inline.
+    """
 
     THREADS = 4
     REQUESTS = 5
@@ -153,9 +158,9 @@ class TestChaosAcceptance:
                     )
                     sent = 1
                 else:
-                    subjects = _queue_subjects(3, f"{tag}{i}")
+                    subjects = fanout_batch(f"{tag}{i}")
                     outcomes = client.normalize(subjects, spec="Queue")
-                    sent = 3
+                    sent = len(subjects)
                 results.append(("ok", diverging, sent, outcomes))
             except ServeUnavailable as exc:
                 results.append(("shed", diverging, 0, exc))
@@ -249,8 +254,9 @@ class TestChaosAcceptance:
                 assert registry.counters["serve.worker_crashes"].value >= 1
                 assert registry.counters["serve.pool_respawns"].value >= 1
 
-            # And the daemon still evaluates correctly after the storm.
-            outcomes = client.normalize(
-                _queue_subjects(2, "post"), spec="Queue"
-            )
-            assert [outcome.ok for outcome in outcomes] == [True, True]
+            # And the respawned pool still evaluates correctly after
+            # the storm.
+            subjects = fanout_batch("post")
+            outcomes = client.normalize(subjects, spec="Queue")
+            assert len(outcomes) == len(subjects)
+            assert all(outcome.ok for outcome in outcomes)

@@ -20,6 +20,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.otlp import read_otlp_file, read_otlp_spans, validate_otlp
 from repro.serve import ReproServer, ServeClient
+from tests.serve.batches import fanout_batch
 
 
 def _server(**kwargs) -> ReproServer:
@@ -41,8 +42,20 @@ def _names(tracer: _trace.Tracer) -> list[str]:
     ]
 
 
+def _dispatch_path(tracer: _trace.Tracer) -> str:
+    """The inline-or-pool choice, recorded on serve.dispatch's end."""
+    (path,) = [
+        event["path"]
+        for event in tracer.events
+        if event["ev"] == "span_end" and event["name"] == "serve.dispatch"
+    ]
+    return path
+
+
 class TestEndToEnd:
     def test_one_trace_spans_client_daemon_and_workers(self, tmp_path):
+        # A batch at the fan-out threshold: the daemon ships it to the
+        # shard workers, so their spans join the trace.
         otlp = tmp_path / "daemon.otlp.jsonl"
         tracer = _trace.Tracer()
         with _server(
@@ -57,7 +70,9 @@ class TestEndToEnd:
                 tracer=tracer,
                 trace_return=True,
             ) as client:
-                outcomes = client.normalize(_subjects(6), spec="Queue")
+                subjects = fanout_batch("traced")
+                outcomes = client.normalize(subjects, spec="Queue")
+        assert len(outcomes) == len(subjects)
         assert all(outcome.ok for outcome in outcomes)
         names = _names(tracer)
         # The client's own tracer now holds the whole three-tier tree.
@@ -70,6 +85,7 @@ class TestEndToEnd:
             "worker.chunk",
         ):
             assert expected in names, f"missing span {expected}: {names}"
+        assert _dispatch_path(tracer) == "pool"
         # One trace id end to end: the daemon exported under the
         # *client's* trace id, and the remote-parent link points at the
         # client's request span.
@@ -91,6 +107,33 @@ class TestEndToEnd:
         assert request["parentSpanId"] == tracer.span_hex(
             client_span["span"]
         )
+        dispatch = next(
+            span for span in spans if span["name"] == "serve.dispatch"
+        )
+        assert {"key": "path", "value": {"stringValue": "pool"}} in (
+            dispatch["attributes"]
+        )
+
+    def test_small_batch_traces_inline_without_workers(self):
+        tracer = _trace.Tracer()
+        with _server(trace_sample=1.0, workers=2) as server:
+            host, port = server.address
+            with ServeClient(
+                host,
+                port,
+                timeout=30.0,
+                retries=0,
+                tracer=tracer,
+                trace_return=True,
+            ) as client:
+                outcomes = client.normalize(_subjects(6), spec="Queue")
+        assert all(outcome.ok for outcome in outcomes)
+        names = _names(tracer)
+        for expected in ("serve.request", "serve.dispatch", "serve.evaluate"):
+            assert expected in names, f"missing span {expected}: {names}"
+        assert "parallel.batch" not in names
+        assert "worker.chunk" not in names
+        assert _dispatch_path(tracer) == "inline"
 
     def test_daemon_tracer_buffer_stays_bounded(self):
         # pop_subtree per finished request: nothing may accumulate.
